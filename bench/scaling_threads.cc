@@ -27,14 +27,15 @@
 // raw per-query times, so thread-scaling baselines can be diffed across
 // sessions and SIMD backends.
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
 #include "report_json.h"
-#include "common/thread_pool.h"
 #include "core/index.h"
 
 namespace tswarp {
@@ -89,11 +90,12 @@ int Run(int argc, char** argv) {
   const std::vector<seqdb::Sequence> queries = PaperQueries(db, num_queries);
   std::vector<std::size_t> thread_counts = {1, 2, 4, 8};
   if (quick) thread_counts = {1, 4};
+  const std::size_t hardware_threads =
+      std::max(1u, std::thread::hardware_concurrency());
 
   std::printf("Thread scaling; stock data, epsilon %.0f, %zu queries, "
               "%zu categories, %zu hardware threads\n\n",
-              epsilon, queries.size(), categories,
-              ThreadPool::HardwareThreads());
+              epsilon, queries.size(), categories, hardware_threads);
   std::printf("%-6s %10s", "kind", "serial(s)");
   for (const std::size_t t : thread_counts) {
     char head[32];
@@ -107,8 +109,7 @@ int Run(int argc, char** argv) {
   // Environment stamp: speedups from this file only make sense relative
   // to the core count of the machine that produced them.
   report.Add("env/hardware_threads", 0.0,
-             {{"hardware_threads",
-               static_cast<double>(ThreadPool::HardwareThreads())}});
+             {{"hardware_threads", static_cast<double>(hardware_threads)}});
 
   std::vector<IndexKind> kinds = {IndexKind::kCategorized, IndexKind::kSparse};
   if (include_st) kinds.insert(kinds.begin(), IndexKind::kSuffixTree);

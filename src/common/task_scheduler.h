@@ -183,9 +183,9 @@ class TaskScheduler {
 /// outstanding the waiting thread executes any available task — its own
 /// scope's, another scope's, anyone's — instead of blocking a worker.
 ///
-/// Exception contract (mirrors the old ThreadPool): the first exception
-/// thrown by any task is captured and rethrown from Wait(), which clears
-/// it; remaining tasks still run. The destructor waits but swallows.
+/// Exception contract: the first exception thrown by any task is captured
+/// and rethrown from Wait(), which clears it; remaining tasks still run.
+/// The destructor waits but swallows.
 class TaskScope {
  public:
   TaskScope();

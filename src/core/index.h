@@ -170,14 +170,17 @@ class IndexSnapshot {
   IndexSnapshot& operator=(const IndexSnapshot&) = delete;
 
   /// All subsequences with D_tw(query, subsequence) <= epsilon, sorted by
-  /// (seq, start, len).
+  /// (seq, start, len). A non-null `stats` is overwritten with this
+  /// query's counters, not added to; to total several searches, give each
+  /// its own SearchStats and Merge() them.
   std::vector<Match> Search(std::span<const Value> query, Value epsilon,
                             const QueryOptions& query_options = {},
                             SearchStats* stats = nullptr) const;
 
   /// The k subsequences nearest to `query` under D_tw, sorted by distance
   /// (branch-and-bound over the same filter; ties at the k-th distance are
-  /// broken deterministically by (distance, seq, start, len)).
+  /// broken deterministically by (distance, seq, start, len)). A non-null
+  /// `stats` is overwritten with this query's counters, as in Search().
   std::vector<Match> SearchKnn(std::span<const Value> query, std::size_t k,
                                const QueryOptions& query_options = {},
                                SearchStats* stats = nullptr) const;
@@ -187,7 +190,8 @@ class IndexSnapshot {
   /// scheduler (>= query_options.num_threads workers); each query itself
   /// runs serially, so per-query results and stats are bit-identical to
   /// Search(). `epsilons` holds either one shared threshold or one per
-  /// query. When `stats` is non-null it is resized to one entry per query.
+  /// query. When `stats` is non-null its contents are replaced by one
+  /// entry per query.
   /// num_threads == 0 degenerates to a serial loop over Search().
   std::vector<std::vector<Match>> SearchBatch(
       const std::vector<std::vector<Value>>& queries,
@@ -263,18 +267,24 @@ class Index {
   Index(const Index&) = delete;
   Index& operator=(const Index&) = delete;
 
+  /// Range search; see IndexSnapshot::Search. A non-null `stats` is
+  /// overwritten, not added to.
   std::vector<Match> Search(std::span<const Value> query, Value epsilon,
                             const QueryOptions& query_options = {},
                             SearchStats* stats = nullptr) const {
     return snapshot_->Search(query, epsilon, query_options, stats);
   }
 
+  /// k-NN search; see IndexSnapshot::SearchKnn. A non-null `stats` is
+  /// overwritten, not added to.
   std::vector<Match> SearchKnn(std::span<const Value> query, std::size_t k,
                                const QueryOptions& query_options = {},
                                SearchStats* stats = nullptr) const {
     return snapshot_->SearchKnn(query, k, query_options, stats);
   }
 
+  /// Batched range search; see IndexSnapshot::SearchBatch. A non-null
+  /// `stats` is replaced by one entry per query.
   std::vector<std::vector<Match>> SearchBatch(
       const std::vector<std::vector<Value>>& queries,
       const std::vector<Value>& epsilons,

@@ -102,6 +102,8 @@ struct SearchStats {
     steal_attempts += other.steal_attempts;
     cancelled += other.cancelled;
   }
+
+  friend bool operator==(const SearchStats&, const SearchStats&) = default;
 };
 
 }  // namespace tswarp::core

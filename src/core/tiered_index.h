@@ -87,6 +87,9 @@ using ContinuousCallback =
 /// Queries running against an old snapshot keep their tiers (trees,
 /// buffer managers, database fragments) alive until they drop the
 /// pointer; a merged-away disk tier deletes its bundle files only then.
+/// Searches on a snapshot fill a caller's SearchStats the way
+/// IndexSnapshot::Search does: overwritten with that query's counters
+/// (summed over its tiers), never added to.
 ///
 /// Symbolization is frozen at base build so every tier speaks the same
 /// alphabet: categorized modes reuse the base category *boundaries* (each

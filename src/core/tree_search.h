@@ -87,7 +87,10 @@ struct TreeSearchConfig {
 
 /// Runs the similarity search: every subsequence of the indexed database
 /// whose exact (or banded) time warping distance from `query` is
-/// <= epsilon. No false dismissals; results are exact matches only.
+/// <= epsilon. No false dismissals; results are exact matches only. A
+/// non-null `stats` is overwritten with this query's counters, not added
+/// to; to total several searches, give each its own SearchStats and
+/// Merge() them.
 std::vector<Match> TreeSearch(const TreeSearchConfig& config,
                               std::span<const Value> query, Value epsilon,
                               SearchStats* stats = nullptr);
@@ -98,7 +101,8 @@ std::vector<Match> TreeSearch(const TreeSearchConfig& config,
 /// to the current k-th best distance, so the lower bounds prune exactly as
 /// in the range search. Ties at the k-th distance are broken
 /// deterministically by (seq, start, len), which makes serial and parallel
-/// k-NN return exactly the same set.
+/// k-NN return exactly the same set. A non-null `stats` is overwritten,
+/// as in TreeSearch().
 std::vector<Match> TreeSearchKnn(const TreeSearchConfig& config,
                                  std::span<const Value> query, std::size_t k,
                                  SearchStats* stats = nullptr);
@@ -125,13 +129,16 @@ struct TierSearchEntry {
 /// data: every engine verifies candidates exactly, so per-tier symbol
 /// tables (wider category intervals, extended dictionaries) never change
 /// the match set. Every tier must agree on the query-shape knobs (exact,
-/// sparse, band, prune, use_lower_bound, num_threads, cancel).
+/// sparse, band, prune, use_lower_bound, num_threads, cancel). A non-null
+/// `stats` is overwritten with the query's counters summed over all
+/// tiers, not added to.
 std::vector<Match> TierSearch(std::span<const TierSearchEntry> tiers,
                               std::span<const Value> query, Value epsilon,
                               SearchStats* stats = nullptr);
 
 /// k-NN across tiers; see TierSearch. The k-th-best threshold is shared
-/// by all tiers through the one collector.
+/// by all tiers through the one collector. A non-null `stats` is
+/// overwritten, as in TierSearch().
 std::vector<Match> TierSearchKnn(std::span<const TierSearchEntry> tiers,
                                  std::span<const Value> query, std::size_t k,
                                  SearchStats* stats = nullptr);

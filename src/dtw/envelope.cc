@@ -5,29 +5,75 @@
 #include "common/logging.h"
 #include "dtw/base.h"
 #include "dtw/simd.h"
+#include "dtw/simd_internal.h"
 #include "dtw/warping_table.h"
 
 namespace tswarp::dtw {
 namespace {
 
-/// Banded sliding-window extrema through the dispatched kernel: for every
-/// data offset j in [0, n + band) computes the extrema of
-/// seq[max(0, j-band) .. min(n-1, j+band)]. The kernel's branch-free
-/// doubling scheme replaced the monotonic-deque pass here: it uses only
-/// two-operand min/max, so it vectorizes and stays bitwise identical
-/// across backends, and the reused `work` scratch (2 * (n + 3*band)
-/// values) keeps the banded LB_Improved hot path allocation-free.
+/// Banded sliding-window extrema: for every data offset j in
+/// [0, n + band) computes
+///
+///   lower[j] = min seq[max(0, j-band) .. min(n-1, j+band)]
+///   upper[j] = max seq[...same window...]
+///
+/// by sparse-table doubling. The sequence is padded into `work` (size
+/// 2 * (n + 3*band); the first half is the min side, padded with +inf, the
+/// second half the max side, padded with -inf), then log2(window) in-place
+/// passes work[i] = min(work[i], work[i + s]) with s = 1, 2, 4, ... grow
+/// each slot's covered span to the largest power of two p <= window, and a
+/// final pass combines the two overlapping p-spans of each window into
+/// lower/upper. Every step is an exact two-operand min/max with MinPd/MaxPd
+/// operand order, so the envelope is a selection of query values with a
+/// fixed signed-zero rule; the loops are branch-free and elementwise, so
+/// the compiler vectorizes them for the build's baseline ISA. The reused
+/// `work` scratch keeps the banded LB_Improved hot path allocation-free.
 /// Requires band >= 1 (band == 0 takes the unconstrained path) and
 /// non-empty seq.
 void BandedExtrema(std::span<const Value> seq, Pos band,
                    simd::AlignedVector* lower, simd::AlignedVector* upper,
                    simd::AlignedVector* work) {
+  using simd::internal::MaxPd;
+  using simd::internal::MinPd;
   const std::size_t n = seq.size();
-  lower->resize(n + band);
-  upper->resize(n + band);
-  work->resize(2 * (n + 3 * static_cast<std::size_t>(band)));
-  simd::Kernels().banded_extrema(seq.data(), n, band, lower->data(),
-                                 upper->data(), work->data());
+  const std::size_t b = band;
+  const std::size_t w = 2 * b + 1;  // Window width (odd, >= 3).
+  const std::size_t m = n + 3 * b;  // Padded length (per side).
+  const std::size_t reach = n + b;  // Output offsets.
+  lower->resize(reach);
+  upper->resize(reach);
+  work->resize(2 * m);
+  Value* wmin = work->data();
+  Value* wmax = wmin + m;
+  for (std::size_t i = 0; i < b; ++i) {
+    wmin[i] = kInfinity;
+    wmax[i] = -kInfinity;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    wmin[b + i] = seq[i];
+    wmax[b + i] = seq[i];
+  }
+  for (std::size_t i = b + n; i < m; ++i) {
+    wmin[i] = kInfinity;
+    wmax[i] = -kInfinity;
+  }
+  // One pass: dst[j] = op(src[j], src[j + s]) for j in [0, count), both
+  // sides fused. Ascending j with s >= 1 reads each slot before any write
+  // lands on it, so the passes may run in place.
+  const auto pass = [](const Value* min_src, Value* min_dst,
+                       const Value* max_src, Value* max_dst,
+                       std::size_t count, std::size_t s) {
+    for (std::size_t j = 0; j < count; ++j) {
+      min_dst[j] = MinPd(min_src[j], min_src[j + s]);
+      max_dst[j] = MaxPd(max_src[j], max_src[j + s]);
+    }
+  };
+  std::size_t p = 1;
+  while (p * 2 <= w) p *= 2;
+  for (std::size_t s = 1; s < p; s *= 2) {
+    pass(wmin, wmin, wmax, wmax, m - 2 * s + 1, s);
+  }
+  pass(wmin, lower->data(), wmax, upper->data(), reach, w - p);
 }
 
 }  // namespace

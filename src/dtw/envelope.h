@@ -28,10 +28,9 @@ namespace tswarp::dtw {
 /// bound stays valid for candidates of any length — only the banded case
 /// runs out of reach (offsets j >= |Q| + band admit no legal path).
 ///
-/// Envelopes are built once per query (the dispatched banded_extrema
-/// kernel's doubling scheme, O(|Q| log band) branch-free work; one running
-/// min/max pass when unconstrained) and shared by every candidate screen
-/// of the search.
+/// Envelopes are built once per query (sparse-table doubling,
+/// O(|Q| log band) branch-free work; one running min/max pass when
+/// unconstrained) and shared by every candidate screen of the search.
 class QueryEnvelope {
  public:
   QueryEnvelope(std::span<const Value> query, Pos band);
@@ -83,8 +82,8 @@ struct EnvelopeScratch {
   simd::AlignedVector proj_lower;  // Envelope of the projection (data side).
   simd::AlignedVector proj_upper;
   simd::AlignedVector suffix_lb;   // Suffix sums of per-element bounds.
-  // Padded scratch for the banded_extrema kernel's doubling passes;
-  // reusing it keeps the banded LB_Improved hot path allocation-free.
+  // Padded scratch for the banded extrema's doubling passes; reusing it
+  // keeps the banded LB_Improved hot path allocation-free.
   simd::AlignedVector extrema_work;
 };
 

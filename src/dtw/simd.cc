@@ -9,13 +9,10 @@
 
 namespace tswarp::dtw::simd {
 
-// Backend tables. Each backend file compiles unconditionally and returns
-// nullptr when its instruction set is unavailable (wrong architecture at
-// compile time, or missing CPU feature at run time), which keeps every
-// #ifdef __AVX2__ / __ARM_NEON inside src/dtw/simd* — CI greps for leaks.
+// The AVX2 table. simd_avx2.cc compiles unconditionally and returns
+// nullptr when the compiler cannot target AVX2, which keeps every
+// #ifdef __AVX2__ inside src/dtw/simd* — CI greps for leaks.
 const KernelTable* Avx2Kernels();  // simd_avx2.cc
-const KernelTable* Sse2Kernels();  // simd_sse2.cc
-const KernelTable* NeonKernels();  // simd_neon.cc
 
 namespace {
 
@@ -40,28 +37,6 @@ Value ScalarRowStepBase(const Value* base, const Value* prev, Value* row,
                         std::size_t n, Value left) {
   return in::RowStepGeneric([base](std::size_t i) { return base[i]; }, prev,
                             row, n, left);
-}
-
-void ScalarBaseDistanceRow(const Value* q, Value v, Value* out,
-                           std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = in::AbsDiff(q[i], v);
-}
-
-void ScalarIntervalDistanceRow(const Value* q, Value lb, Value ub, Value* out,
-                               std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = in::IntervalDist(q[i], lb, ub);
-}
-
-void ScalarMinPairRow(const Value* prev, Value* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = in::MinPd(prev[i], prev[i - 1]);
-  }
-}
-
-Value ScalarRowMin(const Value* row, std::size_t n) {
-  Value m = kInfinity;
-  for (std::size_t i = 0; i < n; ++i) m = in::MinPd(m, row[i]);
-  return m;
 }
 
 Value ScalarLbKeogh(const Value* v, const Value* lo, const Value* up,
@@ -105,24 +80,6 @@ Value ScalarLbImprovedPass1Const(const Value* v, Value lo, Value up,
       kInfinity);
 }
 
-void ScalarStridedGather(const Value* src, std::size_t stride, Value* dst,
-                         std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = src[i * stride];
-}
-
-void ScalarBandedExtrema(const Value* seq, std::size_t n, std::size_t band,
-                         Value* lower, Value* upper, Value* work) {
-  in::BandedExtremaGeneric(
-      seq, n, band, lower, upper, work,
-      [](const Value* min_src, Value* min_dst, const Value* max_src,
-         Value* max_dst, std::size_t count, std::size_t s) {
-        for (std::size_t j = 0; j < count; ++j) {
-          min_dst[j] = in::MinPd(min_src[j], min_src[j + s]);
-          max_dst[j] = in::MaxPd(max_src[j], max_src[j + s]);
-        }
-      });
-}
-
 Value ScalarSummaryLb(const Value* q, const Value* lo, const Value* hi,
                       std::size_t num_intervals, std::size_t n, Value cap) {
   return in::StripedSum(
@@ -142,34 +99,20 @@ constexpr KernelTable kScalarTable = {
     ScalarRowStepValue,
     ScalarRowStepInterval,
     ScalarRowStepBase,
-    ScalarBaseDistanceRow,
-    ScalarIntervalDistanceRow,
-    ScalarMinPairRow,
-    ScalarRowMin,
     ScalarLbKeogh,
     ScalarLbKeoghConst,
     ScalarLbImprovedPass1,
     ScalarLbImprovedPass1Const,
-    ScalarStridedGather,
-    ScalarBandedExtrema,
     ScalarSummaryLb,
 };
 
-// Runtime CPU feature checks live here, in a TU compiled WITHOUT any
-// extra ISA flags, so no vector instruction can execute before its check
-// passes. The backend getters only report compile-time availability.
+// The runtime CPU feature check lives here, in a TU compiled WITHOUT any
+// extra ISA flags, so no vector instruction can execute before it passes.
+// Avx2Kernels() only reports compile-time availability.
 #if defined(__x86_64__) || defined(__i386__)
 bool CpuHasAvx2() { return __builtin_cpu_supports("avx2"); }
-bool CpuHasSse2() { return __builtin_cpu_supports("sse2"); }
-bool CpuHasNeon() { return false; }
-#elif defined(__aarch64__)
-bool CpuHasAvx2() { return false; }
-bool CpuHasSse2() { return false; }
-bool CpuHasNeon() { return true; }  // NEON is baseline on AArch64.
 #else
 bool CpuHasAvx2() { return false; }
-bool CpuHasSse2() { return false; }
-bool CpuHasNeon() { return false; }
 #endif
 
 /// Candidates in dispatch order (best first). A backend is usable iff the
@@ -181,8 +124,6 @@ struct Candidate {
 };
 constexpr Candidate kCandidates[] = {
     {"avx2", CpuHasAvx2, Avx2Kernels},
-    {"sse2", CpuHasSse2, Sse2Kernels},
-    {"neon", CpuHasNeon, NeonKernels},
     {"scalar", [] { return true; }, [] { return &kScalarTable; }},
 };
 

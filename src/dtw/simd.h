@@ -16,8 +16,8 @@ namespace tswarp::dtw::simd {
 ///
 /// Every kernel below is defined by ONE canonical dataflow — a fixed
 /// association of additions, a fixed early-abandon granularity, and
-/// vector-semantics min/max — and every backend (scalar, SSE2, AVX2, NEON)
-/// implements that dataflow exactly. Two consequences:
+/// vector-semantics min/max — and both backends (scalar and AVX2)
+/// implement that dataflow exactly. Two consequences:
 ///
 ///   * results are bitwise identical across backends, so match sets,
 ///     distances, and stats do not depend on the machine the search ran on
@@ -101,6 +101,12 @@ using AlignedVector = std::vector<Value, AlignedAllocator<Value>>;
 /// left of the range). They return the minimum over the computed cells
 /// (exact regardless of reduction order), which WarpingTable records for
 /// O(1) RowMin().
+///
+/// An entry point earns its place in the table only while the AVX2 form
+/// is >= 1.2x faster than scalar in the micro benchmarks that call it, at
+/// |Q| 20-100 (docs/tuning.md "SIMD backends"); loops below that line,
+/// such as the banded envelope extrema and the multivariate strided
+/// gather, are plain code at their callers.
 struct KernelTable {
   const char* name;
 
@@ -114,17 +120,6 @@ struct KernelTable {
   /// Caller-precomputed base distances (the generic PushRowCustom path).
   Value (*row_step_base)(const Value* base, const Value* prev, Value* row,
                          std::size_t n, Value left);
-
-  /// out[i] = |q[i] - v|.
-  void (*base_distance_row)(const Value* q, Value v, Value* out,
-                            std::size_t n);
-  /// out[i] = D_base-lb(q[i], [lb, ub]).
-  void (*interval_distance_row)(const Value* q, Value lb, Value ub,
-                                Value* out, std::size_t n);
-  /// out[i] = min(prev[i], prev[i-1]); prev[-1] must be readable.
-  void (*min_pair_row)(const Value* prev, Value* out, std::size_t n);
-  /// Minimum of row[0..n); +infinity when n == 0.
-  Value (*row_min)(const Value* row, std::size_t n);
 
   /// LB_Keogh accumulation: sum of D_base-lb(v[i], [lo[i], up[i]]) with
   /// canonical striped summation; abandons once a kLbBlock-boundary
@@ -142,21 +137,6 @@ struct KernelTable {
   Value (*lb_improved_pass1_const)(const Value* v, Value lo, Value up,
                                    Value* proj, std::size_t n);
 
-  /// dst[i] = src[i * stride]: one dimension of an interleaved
-  /// multivariate candidate (multivariate envelope cascade).
-  void (*strided_gather)(const Value* src, std::size_t stride, Value* dst,
-                         std::size_t n);
-
-  /// Sliding-window extrema for banded envelopes: lower[j] / upper[j] =
-  /// min / max of seq[max(0, j-band) .. min(n-1, j+band)] for j in
-  /// [0, n + band). Canonical dataflow is the branch-free sparse-table
-  /// doubling of simd_internal.h's BandedExtremaGeneric (exact two-operand
-  /// min/max only, so envelopes are bitwise identical across backends).
-  /// `work` is caller scratch of at least 2 * (n + 3*band) values (one
-  /// padded copy per extremum side). Requires band >= 1 and n >= 1.
-  void (*banded_extrema)(const Value* seq, std::size_t n, std::size_t band,
-                         Value* lower, Value* upper, Value* work);
-
   /// Node-summary lower bound: sum_i min_k IntervalDist(q[i], lo[k], hi[k])
   /// over `num_intervals` value hulls (the search driver passes at most
   /// 6: prefix hull + subtree hull + up to 4 label-envelope segments).
@@ -170,18 +150,18 @@ struct KernelTable {
 
 /// The active kernel table. First use resolves the backend: an explicit
 /// SetBackend() call wins, else the TSWARP_SIMD environment variable
-/// (avx2|sse2|neon|scalar), else the best backend the CPU supports
-/// (dispatch order avx2 > sse2 > neon > scalar).
+/// (avx2|scalar), else the best backend the CPU supports (dispatch order
+/// avx2 > scalar; CPUs without AVX2, arm64 included, run scalar).
 const KernelTable& Kernels();
 
-/// Selects a backend by name ("avx2", "sse2", "neon", "scalar", or "auto"
-/// for best-available). Returns false — leaving the active backend
+/// Selects a backend by name ("avx2", "scalar", or "auto" for
+/// best-available). Returns false — leaving the active backend
 /// unchanged — when the name is unknown or the CPU lacks the instruction
 /// set. Not thread-safe against concurrent kernel use; switch backends
 /// only between searches (CLI startup, test setup).
 bool SetBackend(std::string_view name);
 
-/// Name of the active backend ("avx2", "sse2", "neon", or "scalar").
+/// Name of the active backend ("avx2" or "scalar").
 const char* ActiveBackend();
 
 /// Backends usable on this machine, best first; always ends with "scalar".

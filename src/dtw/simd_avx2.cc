@@ -8,7 +8,7 @@
 // structure, and min/max called with the same operand order as MinPd /
 // MaxPd (x86 minpd/maxpd return the second operand on equality, which is
 // exactly MinPd/MaxPd's rule). No FMA anywhere: fused rounding would
-// diverge from the other backends.
+// diverge from the scalar backend.
 
 #include "dtw/simd_internal.h"
 
@@ -156,43 +156,6 @@ Value RowStepBase(const Value* base, const Value* prev, Value* row,
   return RowStep(ArrayBase{base}, prev, row, n, left);
 }
 
-void BaseDistanceRow(const Value* q, Value v, Value* out, std::size_t n) {
-  const ValueBase b{q, v, _mm256_set1_pd(v)};
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) _mm256_storeu_pd(out + i, b.Block(i));
-  for (; i < n; ++i) out[i] = b.At(i);
-}
-
-void IntervalDistanceRow(const Value* q, Value lb, Value ub, Value* out,
-                         std::size_t n) {
-  const IntervalBase b{q, lb, ub, _mm256_set1_pd(lb), _mm256_set1_pd(ub),
-                       _mm256_setzero_pd()};
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) _mm256_storeu_pd(out + i, b.Block(i));
-  for (; i < n; ++i) out[i] = b.At(i);
-}
-
-void MinPairRow(const Value* prev, Value* out, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(out + i,
-                     _mm256_min_pd(_mm256_loadu_pd(prev + i),
-                                   _mm256_loadu_pd(prev + i - 1)));
-  }
-  for (; i < n; ++i) out[i] = in::MinPd(prev[i], prev[i - 1]);
-}
-
-Value RowMin(const Value* row, std::size_t n) {
-  __m256d vmin = _mm256_set1_pd(kInfinity);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    vmin = _mm256_min_pd(vmin, _mm256_loadu_pd(row + i));
-  }
-  Value m = ReduceMin(vmin);
-  for (; i < n; ++i) m = in::MinPd(m, row[i]);
-  return m;
-}
-
 /// Canonical striped accumulation (StripedSum) with vector stripes: lane l
 /// of `acc` is stripe l.
 template <typename TermVec, typename TermAt>
@@ -280,39 +243,6 @@ Value LbImprovedPass1Const(const Value* v, Value lo, Value up, Value* proj,
       kInfinity);
 }
 
-void StridedGather(const Value* src, std::size_t stride, Value* dst,
-                   std::size_t n) {
-  // A plain copy (hardware gathers are not faster for this shape); the
-  // result is exact, so any implementation matches the contract.
-  for (std::size_t i = 0; i < n; ++i) dst[i] = src[i * stride];
-}
-
-void BandedExtrema(const Value* seq, std::size_t n, std::size_t band,
-                   Value* lower, Value* upper, Value* work) {
-  // In-place with dst == src is safe in 4-wide chunks: both operand
-  // vectors are loaded before the store of the same iteration, and later
-  // iterations only read slots past every store so far (s >= 1, ascending
-  // j) — exactly the original values the canonical scalar pass reads.
-  in::BandedExtremaGeneric(
-      seq, n, band, lower, upper, work,
-      [](const Value* min_src, Value* min_dst, const Value* max_src,
-         Value* max_dst, std::size_t count, std::size_t s) {
-        std::size_t j = 0;
-        for (; j + 4 <= count; j += 4) {
-          _mm256_storeu_pd(min_dst + j,
-                           _mm256_min_pd(_mm256_loadu_pd(min_src + j),
-                                         _mm256_loadu_pd(min_src + j + s)));
-          _mm256_storeu_pd(max_dst + j,
-                           _mm256_max_pd(_mm256_loadu_pd(max_src + j),
-                                         _mm256_loadu_pd(max_src + j + s)));
-        }
-        for (; j < count; ++j) {
-          min_dst[j] = in::MinPd(min_src[j], min_src[j + s]);
-          max_dst[j] = in::MaxPd(max_src[j], max_src[j + s]);
-        }
-      });
-}
-
 Value SummaryLb(const Value* q, const Value* lo, const Value* hi,
                 std::size_t num_intervals, std::size_t n, Value cap) {
   const __m256d zero = _mm256_setzero_pd();
@@ -348,16 +278,10 @@ constexpr KernelTable kTable = {
     RowStepValue,
     RowStepInterval,
     RowStepBase,
-    BaseDistanceRow,
-    IntervalDistanceRow,
-    MinPairRow,
-    RowMin,
     LbKeogh,
     LbKeoghConst,
     LbImprovedPass1,
     LbImprovedPass1Const,
-    StridedGather,
-    BandedExtrema,
     SummaryLb,
 };
 

@@ -7,30 +7,29 @@
 #include "common/types.h"
 #include "dtw/simd.h"
 
-/// Canonical scalar building blocks shared by every backend translation
-/// unit. The vector backends must mirror these exactly — same association
-/// of additions, same shift/scan structure, same min/max operand order —
-/// so that all backends produce bitwise-identical results.
+/// Canonical scalar building blocks shared by the scalar and AVX2 backend
+/// translation units. The AVX2 backend must mirror these exactly — same
+/// association of additions, same shift/scan structure, same min/max
+/// operand order — so that both backends produce bitwise-identical
+/// results.
 ///
 /// MinPd/MaxPd replicate the x86 minpd/maxpd selection rule — return the
 /// SECOND operand when the operands compare equal (which is where +0.0
 /// and -0.0 differ) — so scalar and vector code agree bit-for-bit as long
 /// as both pass operands in the same order. NaN never reaches a kernel
 /// (base distances are finite; +infinity only ever meets finite values).
-/// NEON backends must select via explicit compare+bitselect, not
-/// FMIN/FMAX, which order signed zeros differently.
 
 namespace tswarp::dtw::simd::internal {
 
 inline Value MinPd(Value a, Value b) { return a < b ? a : b; }
 inline Value MaxPd(Value a, Value b) { return a > b ? a : b; }
 
-/// |a - b| via sign-bit clear (std::fabs), matching the vector backends'
+/// |a - b| via sign-bit clear (std::fabs), matching the AVX2 backend's
 /// andnot(-0.0, x) — both map -0.0 to +0.0.
 inline Value AbsDiff(Value a, Value b) { return std::fabs(a - b); }
 
 /// D_base-lb as max(max(v - up, lo - v), +0.0) — the branch-free form the
-/// vector backends use; identical values to the branching BaseDistanceLb
+/// AVX2 backend uses; identical values to the branching BaseDistanceLb
 /// (the final max against +0.0 also canonicalizes any -0.0 away).
 inline Value IntervalDist(Value v, Value lo, Value up) {
   return MaxPd(MaxPd(v - up, lo - v), 0.0);
@@ -150,9 +149,9 @@ inline Value PaddedScanBlock(BaseAt base_at, const Value* prev, Value* row,
 }
 
 /// Generic canonical row step: full scan blocks of 8, one padded block for
-/// any remainder. The scalar backend uses this directly; vector backends
-/// replace the full-block body with vector code but keep this exact
-/// structure (and share PaddedScanBlock for the remainder).
+/// any remainder. The scalar backend uses this directly; the AVX2 backend
+/// replaces the full-block body with vector code but keeps this exact
+/// structure (and shares PaddedScanBlock for the remainder).
 template <typename BaseAt>
 inline Value RowStepGeneric(BaseAt base_at, const Value* prev, Value* row,
                             std::size_t n, Value left) {
@@ -201,61 +200,6 @@ inline Value StripedSum(std::size_t n, TermAt term_at, Value cap) {
   Value sum = (acc[0] + acc[1]) + (acc[2] + acc[3]);
   for (std::size_t i = n4; i < n; ++i) sum += term_at(i);
   return sum;
-}
-
-/// Canonical sliding-window extrema (the banded envelope of LB_Keogh /
-/// LB_Improved): for every data offset j in [0, n + band) computes
-///
-///   lower[j] = min seq[max(0, j-band) .. min(n-1, j+band)]
-///   upper[j] = max seq[...same window...]
-///
-/// via sparse-table doubling: the sequence is padded into `work` (size
-/// 2 * (n + 3*band); the first half is the min side, padded with +inf,
-/// the second half the max side, padded with -inf), then log2(window)
-/// in-place passes work[i] = min(work[i], work[i + s]) with s = 1, 2,
-/// 4, ... grow each slot's covered span to the largest power of two
-/// p <= window, and the final pass combines the two overlapping p-spans
-/// of each window into lower/upper. Every operation is an exact
-/// two-operand min/max with MinPd/MaxPd operand order, so all backends
-/// produce bitwise-identical envelopes; unlike the classic monotonic
-/// deque this dataflow is branch-free and elementwise-vectorizable. The
-/// min and max sides run fused in one pass over both halves — two
-/// independent dependency chains per loop for the price of one set of
-/// loop control.
-///
-/// `pass(min_src, min_dst, max_src, max_dst, count, s)` must compute
-/// min_dst[j] = MinPd(min_src[j], min_src[j + s]) and max_dst[j] =
-/// MaxPd(max_src[j], max_src[j + s]) for j in [0, count), reading each
-/// src slot before any write lands on it when dst == src and processing
-/// j in ascending order (s >= 1 makes ascending in-place reads see only
-/// unwritten slots). Requires band >= 1 and n >= 1.
-template <typename PassFn>
-inline void BandedExtremaGeneric(const Value* seq, std::size_t n,
-                                 std::size_t band, Value* lower, Value* upper,
-                                 Value* work, PassFn pass) {
-  const std::size_t w = 2 * band + 1;  // Window width (odd, >= 3).
-  const std::size_t m = n + 3 * band;  // Padded length (per side).
-  const std::size_t reach = n + band;  // Output offsets.
-  std::size_t p = 1;
-  while (p * 2 <= w) p *= 2;
-  Value* wmin = work;
-  Value* wmax = work + m;
-  for (std::size_t i = 0; i < band; ++i) {
-    wmin[i] = kInfinity;
-    wmax[i] = -kInfinity;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    wmin[band + i] = seq[i];
-    wmax[band + i] = seq[i];
-  }
-  for (std::size_t i = band + n; i < m; ++i) {
-    wmin[i] = kInfinity;
-    wmax[i] = -kInfinity;
-  }
-  for (std::size_t s = 1; s < p; s *= 2) {
-    pass(wmin, wmin, wmax, wmax, m - 2 * s + 1, s);
-  }
-  pass(wmin, lower, wmax, upper, reach, w - p);
 }
 
 }  // namespace tswarp::dtw::simd::internal

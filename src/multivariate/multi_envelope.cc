@@ -14,8 +14,9 @@ MultiQueryEnvelope::MultiQueryEnvelope(std::span<const Value> query,
   dims_.reserve(dim);
   for (std::size_t d = 0; d < dim; ++d) {
     dtw::simd::AlignedVector projection(query_len);
-    dtw::simd::Kernels().strided_gather(query.data() + d, dim,
-                                        projection.data(), query_len);
+    for (std::size_t i = 0; i < query_len; ++i) {
+      projection[i] = query[i * dim + d];
+    }
     dtw::QueryEnvelope envelope(projection, band);
     dims_.push_back(Dimension{std::move(projection), std::move(envelope)});
   }
@@ -29,8 +30,10 @@ Value MultiLbImproved(const MultiQueryEnvelope& env,
   scratch->candidate_dim.resize(len);
   Value sum = 0.0;
   for (std::size_t d = 0; d < dim; ++d) {
-    dtw::simd::Kernels().strided_gather(candidate.data() + d, dim,
-                                        scratch->candidate_dim.data(), len);
+    // Gather dimension d of the interleaved candidate.
+    for (std::size_t i = 0; i < len; ++i) {
+      scratch->candidate_dim[i] = candidate[i * dim + d];
+    }
     // Remaining dimensions only add cost, so each per-dimension pass may
     // abandon against the budget left after the ones already summed.
     sum += dtw::LbImproved(env.envelope(d), env.query_dim(d),

@@ -3,6 +3,9 @@
 // bound/kernel semantics on small hand-checkable inputs.
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -45,20 +48,61 @@ std::vector<Value> RandomWalk(std::size_t n, std::uint64_t seed) {
   return v;
 }
 
+/// Tie-prone values: ~1/8 +infinity, ~1/4 small integers (equal operands
+/// in min/max), the rest uniform.
+std::vector<Value> TieProne(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Value> v(n);
+  for (Value& x : v) {
+    const std::int64_t kind = rng.UniformInt(0, 7);
+    if (kind == 0) {
+      x = kInfinity;
+    } else if (kind <= 2) {
+      x = static_cast<Value>(rng.UniformInt(-3, 3));
+    } else {
+      x = rng.Uniform(-50, 50);
+    }
+  }
+  return v;
+}
+
+/// Bit-pattern equality: the envelope is a selection of query values, so
+/// it must return exactly the bits the window scan selects.
+testing::AssertionResult SameBits(Value a, Value b) {
+  if (std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b)) {
+    return testing::AssertionSuccess();
+  }
+  return testing::AssertionFailure() << a << " vs " << b;
+}
+
+void ExpectBruteForceEnvelope(const std::vector<Value>& q, Pos band) {
+  const QueryEnvelope env(q, band);
+  std::vector<Value> lower, upper;
+  BruteForceEnvelope(q, band, &lower, &upper);
+  ASSERT_EQ(env.reach(), lower.size());
+  for (std::size_t j = 0; j < lower.size(); ++j) {
+    SCOPED_TRACE("j=" + std::to_string(j));
+    EXPECT_TRUE(SameBits(env.LowerAt(j), lower[j]));
+    EXPECT_TRUE(SameBits(env.UpperAt(j), upper[j]));
+  }
+}
+
 TEST(EnvelopeTest, BandedMatchesBruteForce) {
   for (const std::size_t n : {1u, 2u, 3u, 7u, 16u, 33u}) {
     for (const Pos band : {1u, 2u, 5u, 16u, 64u}) {
-      const std::vector<Value> q = RandomWalk(n, 100 * n + band);
-      const QueryEnvelope env(q, band);
-      std::vector<Value> lower, upper;
-      BruteForceEnvelope(q, band, &lower, &upper);
-      ASSERT_EQ(env.reach(), lower.size()) << "n=" << n << " band=" << band;
-      for (std::size_t j = 0; j < lower.size(); ++j) {
-        EXPECT_DOUBLE_EQ(env.LowerAt(j), lower[j])
-            << "n=" << n << " band=" << band << " j=" << j;
-        EXPECT_DOUBLE_EQ(env.UpperAt(j), upper[j])
-            << "n=" << n << " band=" << band << " j=" << j;
-      }
+      SCOPED_TRACE("walk n=" + std::to_string(n) +
+                   " band=" + std::to_string(band));
+      ExpectBruteForceEnvelope(RandomWalk(n, 100 * n + band), band);
+    }
+  }
+  // Every length up to 40 against windows of 3, 5, 7, 11 and 19 (on and
+  // between powers of two, so the doubling's final overlapping pass takes
+  // every shape), on tie-prone values with +infinity mixed in.
+  for (const Pos band : {1u, 2u, 3u, 5u, 9u}) {
+    for (std::size_t n = 1; n <= 40; ++n) {
+      SCOPED_TRACE("ties n=" + std::to_string(n) +
+                   " band=" + std::to_string(band));
+      ExpectBruteForceEnvelope(TieProne(n, 6174 + 100 * band + n), band);
     }
   }
 }

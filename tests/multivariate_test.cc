@@ -172,7 +172,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // Suite name matters: the TSan CI job selects concurrency suites with
-// -R 'ThreadPool|ParallelSearch|MultivariateParallel'.
+// -R 'ParallelSearch|MultivariateParallel'.
 class MultivariateParallelTest
     : public testing::TestWithParam<std::tuple<bool, std::size_t>> {};
 

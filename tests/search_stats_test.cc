@@ -157,6 +157,33 @@ TEST(SearchStatsTest, SchedulerCountersTrackParallelExecution) {
   EXPECT_EQ(merged.steal_attempts, par.steal_attempts);
 }
 
+TEST(SearchStatsTest, SearchOverwritesStatsInsteadOfAdding) {
+  const seqdb::SequenceDatabase db = Db();
+  IndexOptions options;
+  options.kind = IndexKind::kCategorized;
+  options.num_categories = 12;
+  auto index = Index::Build(&db, options);
+  ASSERT_TRUE(index.ok());
+  const std::vector<Value> first = Query(db);
+  const std::vector<Value> second(db.sequence(7).begin() + 5,
+                                  db.sequence(7).begin() + 15);
+
+  SearchStats alone;
+  index->Search(second, 6.0, {}, &alone);
+  ASSERT_GT(alone.rows_pushed, 0u);
+  SearchStats reused;
+  index->Search(first, 6.0, {}, &reused);
+  index->Search(second, 6.0, {}, &reused);
+  EXPECT_TRUE(reused == alone);
+
+  SearchStats knn_alone;
+  index->SearchKnn(second, 3, {}, &knn_alone);
+  SearchStats knn_reused;
+  index->SearchKnn(first, 3, {}, &knn_reused);
+  index->SearchKnn(second, 3, {}, &knn_reused);
+  EXPECT_TRUE(knn_reused == knn_alone);
+}
+
 TEST(SearchStatsTest, RdGrowsWithCoarserCategories) {
   const seqdb::SequenceDatabase db = Db();
   const auto q = Query(db);

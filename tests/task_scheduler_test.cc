@@ -1,12 +1,14 @@
 // Contract tests for the process-wide work-stealing TaskScheduler: worker
-// identity, pool growth, fork/join scope counters, and exception
-// propagation. The randomized load tests live in
+// identity, pool growth, fork/join scope counters, concurrency, teardown
+// draining, and exception propagation. The randomized load tests live in
 // task_scheduler_stress_test.cc (stress label, run under TSan in CI).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
+#include <thread>
 
 #include "common/task_scheduler.h"
 
@@ -79,6 +81,48 @@ TEST(TaskSchedulerTest, StealAttemptCounterIsMonotonic) {
   }
   scope.Wait();
   EXPECT_GE(scheduler.steal_attempts(), before);
+}
+
+TEST(TaskSchedulerTest, TasksRunConcurrentlyAcrossWorkers) {
+  // Two tasks that each wait for the other prove two threads run them at
+  // once; a single-threaded executor would deadlock (bounded here by a
+  // timeout).
+  TaskScheduler::Get().EnsureWorkers(2);
+  std::atomic<bool> a_entered{false};
+  std::atomic<bool> b_entered{false};
+  auto spin_until = [](std::atomic<bool>& flag) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!flag.load() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    return flag.load();
+  };
+  std::atomic<bool> ok{true};
+  TaskScope scope;
+  scope.Submit([&] {
+    a_entered.store(true);
+    if (!spin_until(b_entered)) ok.store(false);
+  });
+  scope.Submit([&] {
+    b_entered.store(true);
+    if (!spin_until(a_entered)) ok.store(false);
+  });
+  scope.Wait();
+  EXPECT_TRUE(ok.load());
+}
+
+TEST(TaskSchedulerTest, DestructorDrainsPendingTasks) {
+  TaskScheduler::Get().EnsureWorkers(1);
+  std::atomic<int> count{0};
+  {
+    TaskScope scope;
+    for (int i = 0; i < 50; ++i) {
+      scope.Submit([&count] { count.fetch_add(1); });
+    }
+    // No Wait(): the destructor must run every pending task.
+  }
+  EXPECT_EQ(count.load(), 50);
 }
 
 TEST(TaskSchedulerTest, NestedScopeInsideTaskJoinsWithoutDeadlock) {

@@ -126,7 +126,7 @@ int Usage() {
                "element-major; every sequence and the query must have a "
                "multiple of D values). --kind stc = dense grid index, "
                "sstc = sparse; st has no multivariate analogue.\n"
-               "--simd avx2|sse2|neon|scalar (any command) pins the DTW "
+               "--simd avx2|scalar|auto (any command) pins the DTW "
                "kernel backend, overriding auto-detection and the "
                "TSWARP_SIMD environment variable.\n"
                "--no-summaries disables the node-summary screen; "
