@@ -48,24 +48,6 @@ std::vector<Value> RandomWalk(std::size_t n, std::uint64_t seed) {
   return v;
 }
 
-/// Tie-prone values: ~1/8 +infinity, ~1/4 small integers (equal operands
-/// in min/max), the rest uniform.
-std::vector<Value> TieProne(std::size_t n, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<Value> v(n);
-  for (Value& x : v) {
-    const std::int64_t kind = rng.UniformInt(0, 7);
-    if (kind == 0) {
-      x = kInfinity;
-    } else if (kind <= 2) {
-      x = static_cast<Value>(rng.UniformInt(-3, 3));
-    } else {
-      x = rng.Uniform(-50, 50);
-    }
-  }
-  return v;
-}
-
 /// Bit-pattern equality: the envelope is a selection of query values, so
 /// it must return exactly the bits the window scan selects.
 testing::AssertionResult SameBits(Value a, Value b) {
@@ -93,16 +75,6 @@ TEST(EnvelopeTest, BandedMatchesBruteForce) {
       SCOPED_TRACE("walk n=" + std::to_string(n) +
                    " band=" + std::to_string(band));
       ExpectBruteForceEnvelope(RandomWalk(n, 100 * n + band), band);
-    }
-  }
-  // Every length up to 40 against windows of 3, 5, 7, 11 and 19 (on and
-  // between powers of two, so the doubling's final overlapping pass takes
-  // every shape), on tie-prone values with +infinity mixed in.
-  for (const Pos band : {1u, 2u, 3u, 5u, 9u}) {
-    for (std::size_t n = 1; n <= 40; ++n) {
-      SCOPED_TRACE("ties n=" + std::to_string(n) +
-                   " band=" + std::to_string(band));
-      ExpectBruteForceEnvelope(TieProne(n, 6174 + 100 * band + n), band);
     }
   }
 }

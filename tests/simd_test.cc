@@ -6,6 +6,7 @@
 // the contract that makes match sets and stats machine-independent; see
 // the canonical-dataflow note in simd.h.
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -16,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "common/types.h"
+#include "dtw/envelope.h"
 #include "dtw/simd.h"
 
 namespace tswarp::dtw::simd {
@@ -216,6 +218,53 @@ TEST_F(SimdTest, LowerBoundKernelsMatchScalarBitwise) {
                              k.lb_improved_pass1_const(
                                  v.data(), clo, cup, got_proj.data(), n)));
         EXPECT_TRUE(BitEqualRows(want_p1c_proj, got_proj));
+      });
+    }
+  }
+}
+
+TEST_F(SimdTest, BandedExtremaMatchesNaiveWindowAndScalarBitwise) {
+  // The banded extrema are plain loops in envelope.cc, not a table kernel;
+  // the query envelope they build must still be the naive window's exact
+  // selection and must not change with the active backend.
+  ValueGen gen(6174);
+  for (const Pos band : {Pos{1}, Pos{2}, Pos{3}, Pos{5}, Pos{9}}) {
+    for (std::size_t n = 1; n <= 40; ++n) {
+      const std::vector<Value> seq = gen.Row(n, /*allow_inf=*/true);
+      const std::size_t reach = n + band;
+      ASSERT_TRUE(SetBackend("scalar"));
+      const QueryEnvelope scalar_env(seq, band);
+      ASSERT_EQ(scalar_env.reach(), reach);
+      const std::vector<Value> want_lo(scalar_env.lower().begin(),
+                                       scalar_env.lower().end());
+      const std::vector<Value> want_up(scalar_env.upper().begin(),
+                                       scalar_env.upper().end());
+      // The outputs are selections of input values, so the naive window
+      // scan must agree exactly, ties included (the fuzz never produces
+      // distinct tied bit patterns such as +0 vs -0).
+      for (std::size_t j = 0; j < reach; ++j) {
+        const std::size_t lo = j > band ? j - band : 0;
+        const std::size_t hi = std::min<std::size_t>(j + band, n - 1);
+        Value mn = kInfinity, mx = -kInfinity;
+        for (std::size_t i = lo; i <= hi; ++i) {
+          mn = seq[i] < mn ? seq[i] : mn;
+          mx = seq[i] > mx ? seq[i] : mx;
+        }
+        SCOPED_TRACE("band=" + std::to_string(band) +
+                     " n=" + std::to_string(n) + " j=" + std::to_string(j));
+        EXPECT_TRUE(BitEqual(mn, want_lo[j]));
+        EXPECT_TRUE(BitEqual(mx, want_up[j]));
+      }
+      ForEachBackend([&](const std::string& name) {
+        SCOPED_TRACE(name + " band=" + std::to_string(band) +
+                     " n=" + std::to_string(n));
+        const QueryEnvelope env(seq, band);
+        const std::vector<Value> got_lo(env.lower().begin(),
+                                        env.lower().end());
+        const std::vector<Value> got_up(env.upper().begin(),
+                                        env.upper().end());
+        EXPECT_TRUE(BitEqualRows(want_lo, got_lo));
+        EXPECT_TRUE(BitEqualRows(want_up, got_up));
       });
     }
   }
