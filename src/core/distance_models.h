@@ -57,9 +57,9 @@ class ExactModel {
   Value OccurrenceFirstLb(const suffixtree::OccurrenceRec&) const {
     return 0.0;
   }
-  bool VerifyExact(SeqId, Pos, Pos, Value, SearchStats*, Value*) {
-    return false;
-  }
+  template <typename Report>
+  void VerifyStart(SeqId, Pos, std::span<const Pos>, Value, SearchStats*,
+                   Report&&) {}
 
  private:
   std::span<const Value> query_;
@@ -68,11 +68,13 @@ class ExactModel {
 
 /// Category intervals (D_tw-lb, Definition 3): rows are interval lower
 /// bounds, so every emission is a candidate verified against the raw
-/// sequences behind a cascade of ever-more-expensive screens — O(1)
-/// endpoints, O(len + |Q|) LB_Keogh/LB_Improved (when the envelope is
-/// active), then the O(|Q| len) exact kernel (itself abandoning early on
-/// the prefix lower bound). Every screen is a true lower bound, so no
-/// candidate within epsilon is ever dismissed.
+/// sequences. The candidates of one start are verified together, behind a
+/// cascade of ever-more-expensive screens — the O(1) endpoint screen per
+/// length, LB_Keogh of every length from one O(len) pass of prefix sums
+/// (when the envelope is active), then one exact table pushed up to the
+/// longest surviving length (itself abandoning early on the prefix lower
+/// bound). Every screen is a true lower bound, so no candidate within
+/// epsilon is ever dismissed.
 class CategoryModel {
  public:
   static constexpr bool kExactRows = false;
@@ -112,40 +114,41 @@ class CategoryModel {
     return dtw::BaseDistanceLb(query_.front(), iv.lb, iv.ub);
   }
 
-  bool VerifyExact(SeqId seq, Pos start, Pos len, Value eps,
-                   SearchStats* stats, Value* distance) {
-    const std::span<const Value> sub = db_->Subsequence(seq, start, len);
+  /// Verifies the ascending candidate lengths `lens` of the subsequence
+  /// start (seq, start) and calls report(len, distance) for each length
+  /// within eps. Counters count lengths: each is an endpoint rejection, or
+  /// an LB_Keogh invocation (when the envelope is active) that is pruned
+  /// or handed to the shared table (exact_dtw_calls).
+  template <typename Report>
+  void VerifyStart(SeqId seq, Pos start, std::span<const Pos> lens, Value eps,
+                   SearchStats* stats, Report&& report) {
+    const std::span<const Value> sub =
+        db_->Subsequence(seq, start, lens.back());
     // Screens compare against the slackened threshold so reassociation
     // drift between a bound and the exact kernel cannot dismiss a
     // boundary candidate (see dtw::LbPruneThreshold).
     const Value cut = dtw::LbPruneThreshold(eps);
-    // O(1) endpoint screen before the O(|Q| len) exact computation.
-    if (dtw::EndpointLowerBound(query_, sub) > cut) {
-      ++stats->endpoint_rejections;
-      return false;
-    }
-    if (envelope_ != nullptr) {
-      ++stats->lb_invocations;
-      if (dtw::LbImproved(*envelope_, query_, sub, cut, &lb_scratch_) > cut) {
-        ++stats->lb_pruned;
-        return false;
+    kept_.clear();
+    for (const Pos len : lens) {
+      // O(1) endpoint screen before any O(len) work.
+      if (dtw::EndpointLowerBound(query_, sub.first(len)) > cut) {
+        ++stats->endpoint_rejections;
+        continue;
       }
+      kept_.push_back(len);
     }
-    ++stats->exact_dtw_calls;
-    Value d = 0.0;
+    if (kept_.empty()) return;
+    distances_.resize(kept_.size());
+    const std::size_t lb_pruned = dtw::DtwPrefixesWithinThreshold(
+        query_, sub, kept_, envelope_, band_, eps, distances_, &lb_scratch_);
     if (envelope_ != nullptr) {
-      if (!dtw::DtwWithinThresholdLb(query_, sub, *envelope_, eps, &d,
-                                     &lb_scratch_)) {
-        return false;
-      }
-    } else if (band_ != 0) {
-      d = dtw::DtwDistanceBanded(query_, sub, band_);
-      if (d > eps) return false;
-    } else if (!dtw::DtwWithinThreshold(query_, sub, eps, &d)) {
-      return false;
+      stats->lb_invocations += kept_.size();
+      stats->lb_pruned += lb_pruned;
     }
-    *distance = d;
-    return true;
+    stats->exact_dtw_calls += kept_.size() - lb_pruned;
+    for (std::size_t i = 0; i < kept_.size(); ++i) {
+      if (distances_[i] <= eps) report(kept_[i], distances_[i]);
+    }
   }
 
  private:
@@ -154,7 +157,10 @@ class CategoryModel {
   const seqdb::SequenceDatabase* db_;
   const dtw::QueryEnvelope* envelope_;
   Pos band_;
-  dtw::EnvelopeScratch lb_scratch_;  // Worker-private (models are copied).
+  // Worker-private scratch (models are copied per worker).
+  dtw::EnvelopeScratch lb_scratch_;
+  std::vector<Pos> kept_;          // Lengths past the endpoint screen.
+  std::vector<Value> distances_;   // Their table readings.
 };
 
 /// Sparse categorized trees (D_tw-lb2, Definition 4): the per-row rule is

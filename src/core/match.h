@@ -46,8 +46,8 @@ struct SearchStats {
                                           // endpoint lower bound.
   // Envelope lower-bound cascade (LB_Keogh / LB_Improved prefilter; see
   // docs/tuning.md "Lower-bound cascade"). In the tree search an
-  // invocation is one candidate screened; in SeqScan it is one suffix
-  // whose extension loop ran under the running-envelope bound.
+  // invocation is one candidate length screened; in SeqScan it is one
+  // suffix whose extension loop ran under the running-envelope bound.
   std::uint64_t lb_invocations = 0;     // Envelope bounds evaluated.
   std::uint64_t lb_pruned = 0;          // Candidates/extensions it killed.
   // Node-summary pre-filter (subtree hulls screened before descending an
@@ -56,7 +56,10 @@ struct SearchStats {
   // skips the child's entire subtree with zero row-step work.
   std::uint64_t summary_lb_invocations = 0;
   std::uint64_t nodes_pruned_by_summary = 0;
-  std::uint64_t exact_dtw_calls = 0;    // Exact distance computations.
+  // Candidate lengths handed to the exact kernel. The tree search
+  // verifies the lengths of one subsequence start on one shared warping
+  // table, so this counts lengths, not tables built.
+  std::uint64_t exact_dtw_calls = 0;
   std::uint64_t answers = 0;            // Final matches.
   // Prefix rows re-pushed by parallel workers entering a branch task (the
   // duplicated table work parallelism pays for; 0 in serial searches).

@@ -10,6 +10,7 @@
 #include <mutex>
 #include <span>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -56,15 +57,17 @@ namespace tswarp::core {
 ///     /// DriverConfig::sparse.
 ///     Value OccurrenceFirstLb(const suffixtree::OccurrenceRec& occ) const;
 ///
-///     /// VerifyExact: the exact verification cascade for one candidate
-///     /// subsequence (endpoint screen, envelope lower bounds, exact
-///     /// kernel). Returns true iff the candidate's exact distance is
-///     /// <= eps, setting *distance; bumps the cascade counters in
-///     /// *stats. Never called when kExactRows. Models carry their own
-///     /// scratch, so VerifyExact may be non-const; the driver copies the
+///     /// VerifyStart: the exact verification cascade for the candidate
+///     /// lengths `lens` (ascending) of one subsequence start (endpoint
+///     /// screen, envelope lower bounds, exact kernel). Calls
+///     /// report(len, distance) for every length whose exact distance is
+///     /// <= eps; bumps the cascade counters in *stats, one count per
+///     /// length. Never called when kExactRows. Models carry their own
+///     /// scratch, so VerifyStart may be non-const; the driver copies the
 ///     /// model prototype once per executing thread.
-///     bool VerifyExact(SeqId seq, Pos start, Pos len, Value eps,
-///                      SearchStats* stats, Value* distance);
+///     template <typename Report>
+///     void VerifyStart(SeqId seq, Pos start, std::span<const Pos> lens,
+///                      Value eps, SearchStats* stats, Report&& report);
 ///   };
 ///
 /// Four instantiations cover the repo: ExactModel (symbol values),
@@ -199,10 +202,11 @@ struct BranchTask {
 };
 
 /// Reusable per-thread worker arena: the cumulative warping table (the
-/// dominant allocation — depth_hint * |Q| cells) plus the traversal
-/// buffers. Arenas are cached per thread keyed by the table shape, so a
-/// batch of same-length queries reuses warm tables across queries and
-/// the hot path performs no allocations once the cache is primed.
+/// dominant allocation — depth_hint * |Q| cells) plus the traversal and
+/// pending-candidate buffers. Arenas are cached per thread keyed by the
+/// table shape, so a batch of same-length queries reuses warm tables
+/// across queries and the hot path performs no allocations once the cache
+/// is primed.
 struct SearchArena {
   SearchArena(std::size_t query_length, Pos band, std::size_t depth_hint)
       : table(query_length, band, depth_hint),
@@ -222,6 +226,15 @@ struct SearchArena {
   // Per-depth children buffers, reused across traversals so descending
   // performs no per-node allocations once warmed up.
   std::vector<suffixtree::Children> children_stack;
+  // Range-mode candidates awaiting verification, grouped by start when
+  // flushed (see Worker::FlushPending), and one start's lengths.
+  struct Candidate {
+    SeqId seq;
+    Pos start;
+    Pos len;
+  };
+  std::vector<Candidate> pending;
+  std::vector<Pos> pending_lens;
 
   std::size_t key_query_length;
   Pos key_band;
@@ -417,6 +430,12 @@ class SearchDriver {
     /// the steady-state cost is one counter increment per row.
     static constexpr std::uint32_t kCancelPollRows = 32;
 
+    /// Range mode flushes the pending candidates early once this many
+    /// wait, which bounds the buffer on match-everything thresholds. A
+    /// start split across two flushes is verified in two groups with the
+    /// same distance bits.
+    static constexpr std::size_t kMaxPendingCandidates = std::size_t{1} << 16;
+
     enum class EpsMode {
       kFixed,   // Range mode: the threshold never changes — no loads.
       kExact,   // Serial k-NN: always read the shared atomic.
@@ -543,9 +562,17 @@ class SearchDriver {
                  ParallelState* par) {
       dtw::WarpingTable& table = arena.table;
       frames_.clear();
+      arena.pending.clear();  // Left over only by an abandoned traversal.
       current_prefix_ = task.prefix;
       PushFrame(arena, task.node, task.first_lb, task.edge_lo, task.edge_hi);
       while (!frames_.empty()) {
+        // Back at the task's start frame: every candidate of a start
+        // emitted so far lies under the edge just finished (a start's
+        // lengths sit on its suffix's root path; sparse shifts pos+delta
+        // come from the stored suffix at pos), so verify them per start.
+        if (frames_.size() == 1 && !arena.pending.empty()) {
+          FlushPending(arena);
+        }
         // The lazy-split poll: one relaxed load per DFS step. Only when
         // some thread is idle does the owner materialize a task.
         if (par != nullptr && par->scope.WantsWork()) TrySplit(arena, par);
@@ -594,9 +621,10 @@ class SearchDriver {
         bool occ_collected = false;
         for (const Symbol sym : label) {
           if (ShouldAbort()) {
-            // Deadline/cancel fired: abandon the whole span. The arena is
-            // released by RunTask's guard and Reset on its next use, so
-            // no unwinding of pushed rows is needed.
+            // Deadline/cancel fired: abandon the whole span, dropping the
+            // pending candidates unverified. The arena is released by
+            // RunTask's guard and Reset on its next use, so no unwinding
+            // of pushed rows is needed.
             frames_.clear();
             return;
           }
@@ -638,15 +666,15 @@ class SearchDriver {
 
     /// A prefix of depth NumRows() matched with filter distance `dist`:
     /// expand the pre-collected subtree occurrences (arena.occ_buf) into
-    /// answers (exact-row models) or verified candidates (lower-bound
+    /// answers (exact-row models) or candidates to verify (lower-bound
     /// models).
     void EmitCandidates(SearchArena& arena, Value dist) {
       const auto depth = static_cast<Pos>(arena.table.NumRows());
       for (const OccurrenceRec& occ : arena.occ_buf) {
-        // One emission can verify thousands of candidates (every stored
+        // One emission can expand thousands of candidates (every stored
         // suffix below the edge); poll here too so a deadline interrupts
-        // the verification cascade, not just the traversal. The caller's
-        // label loop sees the latched flag on its next row.
+        // the emission, not just the traversal. The caller's label loop
+        // sees the latched flag on its next row.
         if (ShouldAbort()) return;
         if constexpr (Model::kExactRows) {
           if (dist <= Eps()) {
@@ -656,7 +684,7 @@ class SearchDriver {
           continue;
         } else {
           // Stored suffix: subsequence S[occ.pos : occ.pos+depth-1].
-          if (dist <= Eps()) PostProcess(occ.seq, occ.pos, depth);
+          if (dist <= Eps()) PostProcess(arena, occ.seq, occ.pos, depth);
           if (!config_.sparse) continue;
           // Non-stored suffixes inside the leading run: skip delta
           // symbols (D_tw-lb2, Definition 4).
@@ -665,20 +693,55 @@ class SearchDriver {
           for (Pos delta = 1; delta <= max_delta; ++delta) {
             const Value lb2 = dtw::LowerBound2(dist, delta, first_lb);
             if (lb2 <= Eps()) {
-              PostProcess(occ.seq, occ.pos + delta, depth - delta);
+              PostProcess(arena, occ.seq, occ.pos + delta, depth - delta);
             }
           }
         }
       }
     }
 
-    /// Exact verification of one candidate subsequence via the model's
-    /// cascade; reports the match when it is within the threshold.
-    void PostProcess(SeqId seq, Pos start, Pos len) {
+    /// Queues one candidate subsequence for exact verification. Range
+    /// mode verifies at the next flush, when the lengths of one start share
+    /// a table; k-NN mode flushes every candidate at once, in emission
+    /// order, because each report may shrink the threshold the next
+    /// candidate is verified against.
+    void PostProcess(SearchArena& arena, SeqId seq, Pos start, Pos len) {
       ++stats_.candidates;
-      Value d = 0.0;
-      if (!model_.VerifyExact(seq, start, len, Eps(), &stats_, &d)) return;
-      Report({seq, start, len, d});
+      arena.pending.push_back({seq, start, len});
+      if (collector_.knn() ||
+          arena.pending.size() >= kMaxPendingCandidates) {
+        FlushPending(arena);
+      }
+    }
+
+    /// Verifies the pending candidates one start at a time through the
+    /// model's cascade and reports the matches within the threshold. A
+    /// search cancelled meanwhile drops what is left unverified.
+    void FlushPending(SearchArena& arena) {
+      std::vector<SearchArena::Candidate>& pending = arena.pending;
+      std::sort(pending.begin(), pending.end(),
+                [](const SearchArena::Candidate& a,
+                   const SearchArena::Candidate& b) {
+                  return std::tie(a.seq, a.start, a.len) <
+                         std::tie(b.seq, b.start, b.len);
+                });
+      std::vector<Pos>& lens = arena.pending_lens;
+      for (std::size_t i = 0; i < pending.size();) {
+        if (ShouldAbort()) break;
+        const SeqId seq = pending[i].seq;
+        const Pos start = pending[i].start;
+        lens.clear();
+        for (; i < pending.size() && pending[i].seq == seq &&
+               pending[i].start == start;
+             ++i) {
+          lens.push_back(pending[i].len);
+        }
+        model_.VerifyStart(seq, start, lens, Eps(), &stats_,
+                           [&](Pos len, Value d) {
+                             Report({seq, start, len, d});
+                           });
+      }
+      pending.clear();
     }
 
     /// Folds one path symbol's value hull into the running prefix hull.

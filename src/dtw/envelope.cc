@@ -12,14 +12,17 @@ namespace tswarp::dtw {
 namespace {
 
 /// Banded sliding-window extrema: for every data offset j in
-/// [0, n + band) computes
+/// [0, outputs) computes
 ///
 ///   lower[j] = min seq[max(0, j-band) .. min(n-1, j+band)]
 ///   upper[j] = max seq[...same window...]
 ///
-/// by sparse-table doubling. The sequence is padded into `work` (size
-/// 2 * (n + 3*band); the first half is the min side, padded with +inf, the
-/// second half the max side, padded with -inf), then log2(window) in-place
+/// by sparse-table doubling. Offsets reach up to n + band; callers that
+/// read fewer pass a smaller `outputs` (1 <= outputs <= n + band), and the
+/// passes shrink with it. The sequence is padded into `work` (size
+/// 2 * (outputs + 2*band); the first half is the min side, padded with
+/// +inf, the second half the max side, padded with -inf), then
+/// log2(window) in-place
 /// passes work[i] = min(work[i], work[i + s]) with s = 1, 2, 4, ... grow
 /// each slot's covered span to the largest power of two p <= window, and a
 /// final pass combines the two overlapping p-spans of each window into
@@ -30,18 +33,20 @@ namespace {
 /// `work` scratch keeps the banded LB_Improved hot path allocation-free.
 /// Requires band >= 1 (band == 0 takes the unconstrained path) and
 /// non-empty seq.
-void BandedExtrema(std::span<const Value> seq, Pos band,
+void BandedExtrema(std::span<const Value> seq, Pos band, std::size_t outputs,
                    simd::AlignedVector* lower, simd::AlignedVector* upper,
                    simd::AlignedVector* work) {
   using simd::internal::MaxPd;
   using simd::internal::MinPd;
   const std::size_t n = seq.size();
   const std::size_t b = band;
-  const std::size_t w = 2 * b + 1;  // Window width (odd, >= 3).
-  const std::size_t m = n + 3 * b;  // Padded length (per side).
-  const std::size_t reach = n + b;  // Output offsets.
-  lower->resize(reach);
-  upper->resize(reach);
+  TSW_DCHECK(outputs >= 1 && outputs <= n + b);
+  const std::size_t w = 2 * b + 1;        // Window width (odd, >= 3).
+  const std::size_t m = outputs + 2 * b;  // Padded length (per side).
+  // Output j reads padded slots [j, j + 2b], so data past m - b is unread.
+  const std::size_t copied = std::min(n, m - b);
+  lower->resize(outputs);
+  upper->resize(outputs);
   work->resize(2 * m);
   Value* wmin = work->data();
   Value* wmax = wmin + m;
@@ -49,11 +54,11 @@ void BandedExtrema(std::span<const Value> seq, Pos band,
     wmin[i] = kInfinity;
     wmax[i] = -kInfinity;
   }
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < copied; ++i) {
     wmin[b + i] = seq[i];
     wmax[b + i] = seq[i];
   }
-  for (std::size_t i = b + n; i < m; ++i) {
+  for (std::size_t i = b + copied; i < m; ++i) {
     wmin[i] = kInfinity;
     wmax[i] = -kInfinity;
   }
@@ -70,10 +75,13 @@ void BandedExtrema(std::span<const Value> seq, Pos band,
   };
   std::size_t p = 1;
   while (p * 2 <= w) p *= 2;
+  // The pass with step s must leave spans of 2s at slots
+  // [0, outputs + w - 2s), which the next pass (and finally the two
+  // overlapping p-spans of each window) read.
   for (std::size_t s = 1; s < p; s *= 2) {
-    pass(wmin, wmin, wmax, wmax, m - 2 * s + 1, s);
+    pass(wmin, wmin, wmax, wmax, outputs + w - 2 * s, s);
   }
-  pass(wmin, lower->data(), wmax, upper->data(), reach, w - p);
+  pass(wmin, lower->data(), wmax, upper->data(), outputs, w - p);
 }
 
 }  // namespace
@@ -89,7 +97,7 @@ QueryEnvelope::QueryEnvelope(std::span<const Value> query, Pos band)
     reach_ = kNoReachLimit;
   } else {
     simd::AlignedVector work;  // Once per query: a local is fine.
-    BandedExtrema(query, band, &lower_, &upper_, &work);
+    BandedExtrema(query, band, query.size() + band, &lower_, &upper_, &work);
     reach_ = lower_.size();
   }
 }
@@ -138,48 +146,68 @@ Value LbImproved(const QueryEnvelope& env, std::span<const Value> query,
     return sum + k.lb_keogh_const(query.data(), *lo, *hi, query.size(),
                                   abandon_above - sum);
   }
-  BandedExtrema(h, env.band(), &scratch->proj_lower, &scratch->proj_upper,
-                &scratch->extrema_work);
-  // Query index i reaches data offsets [i - band, i + band]; beyond the
-  // projection's reach no legal banded path exists at all.
-  if (query.size() > scratch->proj_lower.size()) return kInfinity;
+  // Query index i reaches data offsets [i - band, i + band]: a query
+  // longer than the projection's reach, len + band, admits no legal banded
+  // path at all. Otherwise pass 2 reads the projection's envelope at the
+  // |Q| <= len + band query offsets only.
+  if (query.size() > len + env.band()) return kInfinity;
+  BandedExtrema(h, env.band(), query.size(), &scratch->proj_lower,
+                &scratch->proj_upper, &scratch->extrema_work);
   return sum + k.lb_keogh(query.data(), scratch->proj_lower.data(),
                           scratch->proj_upper.data(), query.size(),
                           abandon_above - sum);
 }
 
-bool DtwWithinThresholdLb(std::span<const Value> query,
-                          std::span<const Value> candidate,
-                          const QueryEnvelope& env, Value epsilon,
-                          Value* distance, EnvelopeScratch* scratch) {
-  TSW_CHECK(!query.empty() && !candidate.empty());
-  TSW_DCHECK(scratch != nullptr);
-  const std::size_t len = candidate.size();
-  // Lower-bound cuts compare against the slackened threshold so that
-  // reassociation drift between the bounds and the exact kernel cannot
-  // dismiss a boundary candidate (see LbPruneThreshold).
+std::size_t DtwPrefixesWithinThreshold(std::span<const Value> query,
+                                       std::span<const Value> candidate,
+                                       std::span<const Pos> lengths,
+                                       const QueryEnvelope* env, Pos band,
+                                       Value epsilon,
+                                       std::span<Value> distances,
+                                       EnvelopeScratch* scratch) {
+  TSW_CHECK(!query.empty() && !lengths.empty());
+  TSW_DCHECK(scratch != nullptr && distances.size() == lengths.size());
+  TSW_DCHECK(lengths.front() >= 1 && lengths.back() <= candidate.size());
+  TSW_DCHECK(env == nullptr || env->band() == band);
   const Value cut = LbPruneThreshold(epsilon);
-  // suffix_lb[y] bounds the cost the path must still pay for rows y..len-1.
-  simd::AlignedVector& suffix_lb = scratch->suffix_lb;
-  suffix_lb.resize(len + 1);
-  suffix_lb[len] = 0.0;
-  for (std::size_t y = len; y-- > 0;) {
-    suffix_lb[y] = suffix_lb[y + 1] + env.ElementLb(y, candidate[y]);
+  // pre[y] bounds the cost the path pays for data rows 1..y.
+  simd::AlignedVector& pre = scratch->prefix_lb;
+  pre.assign(lengths.back() + 1, 0.0);
+  std::size_t live = lengths.size();  // Lengths LB_Keogh admits: a prefix.
+  if (env != nullptr) {
+    std::size_t y = 0;
+    for (std::size_t i = 0; i < lengths.size(); ++i) {
+      for (; y < lengths[i]; ++y) {
+        pre[y + 1] = pre[y] + env->ElementLb(y, candidate[y]);
+      }
+      if (pre[y] > cut) {
+        live = i;
+        break;
+      }
+    }
   }
-  if (suffix_lb[0] > cut) return false;  // LB_Keogh re-check; free here.
+  std::fill(distances.begin(), distances.end(), kInfinity);
+  if (live == 0) return lengths.size();
 
-  WarpingTable table(query, env.band(), len);
-  for (std::size_t y = 0; y < len; ++y) {
-    table.PushRowValue(candidate[y]);
-    // Every completion extends some partial path through row y+1 (cost
-    // >= RowMin) and still pays at least the envelope bound of each
-    // remaining row; Theorem 1 is the suffix_lb == 0 special case.
-    if (table.RowMin() + suffix_lb[y + 1] > cut) return false;
+  std::unique_ptr<WarpingTable>& table = scratch->table;
+  if (table == nullptr || table->query_length() != query.size() ||
+      table->band() != band) {
+    table = std::make_unique<WarpingTable>(query.size(), band,
+                                           lengths[live - 1]);
   }
-  const Value d = table.LastColumn();
-  if (d > epsilon) return false;
-  *distance = d;
-  return true;
+  table->Reset();
+  table->BindQuery(query);
+  std::size_t next = 0;  // Next length to read off the table.
+  for (std::size_t y = 1; next < live; ++y) {
+    table->PushRowValue(candidate[y - 1]);
+    for (; next < live && lengths[next] == y; ++next) {
+      distances[next] = table->LastColumn();
+    }
+    if (next < live && table->RowMin() + (pre[lengths[next]] - pre[y]) > cut) {
+      break;
+    }
+  }
+  return lengths.size() - live;
 }
 
 }  // namespace tswarp::dtw

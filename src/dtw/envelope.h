@@ -2,11 +2,13 @@
 #define TSWARP_DTW_ENVELOPE_H_
 
 #include <cstddef>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "common/types.h"
 #include "dtw/simd.h"
+#include "dtw/warping_table.h"
 
 namespace tswarp::dtw {
 
@@ -77,14 +79,23 @@ class QueryEnvelope {
 /// Reusable buffers for the two-pass bound and the prefix-abandoning exact
 /// kernel; lets callers screen many candidates without re-allocating.
 /// Aligned so the dispatched SIMD kernels read them on full-width lanes.
+/// Holds nothing between calls, so a copy starts empty: models that carry
+/// one stay copyable (the search driver copies a model per worker).
 struct EnvelopeScratch {
+  EnvelopeScratch() = default;
+  EnvelopeScratch(const EnvelopeScratch&) {}
+  EnvelopeScratch& operator=(const EnvelopeScratch&) { return *this; }
+
   simd::AlignedVector projection;  // h(S): S clamped into Q's envelope.
   simd::AlignedVector proj_lower;  // Envelope of the projection (data side).
   simd::AlignedVector proj_upper;
-  simd::AlignedVector suffix_lb;   // Suffix sums of per-element bounds.
+  simd::AlignedVector prefix_lb;   // Prefix sums of per-element bounds.
   // Padded scratch for the banded extrema's doubling passes; reusing it
   // keeps the banded LB_Improved hot path allocation-free.
   simd::AlignedVector extrema_work;
+  // The exact kernel's warping table, rebuilt only when the query length
+  // or band changes.
+  std::unique_ptr<WarpingTable> table;
 };
 
 /// Pruning threshold for every lower-bound-vs-epsilon screen: a candidate
@@ -122,18 +133,40 @@ Value LbImproved(const QueryEnvelope& env, std::span<const Value> query,
                  std::span<const Value> candidate, Value abandon_above,
                  EnvelopeScratch* scratch);
 
-/// Exact thresholded D_tw with prefix-lower-bound abandoning: like
-/// DtwWithinThreshold, but the per-row cutoff tests
-///   RowMin(rows 1..y) + sum of envelope bounds of the unprocessed rows
-/// against epsilon, which abandons strictly earlier than Theorem 1's
-/// RowMin-only test (the suffix bound is >= 0). Uses `env.band()` as the
-/// Sakoe-Chiba band of the exact computation; returns true and sets
-/// *distance iff the (banded) D_tw(query, candidate) <= epsilon.
-/// `env` must have been built from `query` with the same band.
-bool DtwWithinThresholdLb(std::span<const Value> query,
-                          std::span<const Value> candidate,
-                          const QueryEnvelope& env, Value epsilon,
-                          Value* distance, EnvelopeScratch* scratch);
+/// Exact thresholded D_tw of several prefixes of one candidate, read off
+/// one warping table: row L of the table over `candidate` holds D_tw(Q,
+/// candidate[0:L]) in its last column, and rows 1..L do not depend on later
+/// rows, so each length gets exactly the bits a table built for that length
+/// alone would give. `lengths` must be ascending, each in
+/// [1, candidate.size()]; `distances` has one slot per length.
+///
+/// Cascade, with `env` (built from `query` with the same band):
+///   1. LB_Keogh of every length from one pass of prefix sums,
+///      pre[L] = sum of env.ElementLb(j, candidate[j]) over j < L. Prefix
+///      sums never decrease, so the lengths it rejects are a suffix of
+///      `lengths`.
+///   2. The table, pushed up to the longest surviving length. After row
+///      y it abandons once RowMin(rows 1..y) + pre[L_next] - pre[y] exceeds
+///      the threshold, L_next being the next length still to read: every
+///      completion extends a partial path through row y and still pays the
+///      envelope bound of each remaining row (Theorem 1 is the env == null
+///      case, where pre is 0).
+/// Screens compare against LbPruneThreshold(epsilon), so reassociation
+/// drift cannot dismiss a boundary length. `band` is the Sakoe-Chiba band
+/// of the exact computation (0 = unconstrained).
+///
+/// distances[i] is the exact (banded) D_tw of lengths[i] wherever the table
+/// reached that row, and kInfinity where a screen or the abandon test ruled
+/// the length out; a length is within the threshold iff
+/// distances[i] <= epsilon (no screen rules anything out when epsilon is
+/// +infinity). Returns how many lengths LB_Keogh rejected (0 without env).
+std::size_t DtwPrefixesWithinThreshold(std::span<const Value> query,
+                                       std::span<const Value> candidate,
+                                       std::span<const Pos> lengths,
+                                       const QueryEnvelope* env, Pos band,
+                                       Value epsilon,
+                                       std::span<Value> distances,
+                                       EnvelopeScratch* scratch);
 
 }  // namespace tswarp::dtw
 

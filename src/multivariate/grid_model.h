@@ -54,8 +54,21 @@ class GridCellModel {
     return grid_->CellLowerBound(QueryElement(0), cell);
   }
 
-  bool VerifyExact(SeqId seq, Pos start, Pos len, Value eps,
-                   core::SearchStats* stats, Value* distance) {
+  /// Verifies the ascending candidate lengths `lens` of the start
+  /// (seq, start) one at a time through the per-length cascade, calling
+  /// report(len, distance) for each length within eps.
+  template <typename Report>
+  void VerifyStart(SeqId seq, Pos start, std::span<const Pos> lens, Value eps,
+                   core::SearchStats* stats, Report&& report) {
+    for (const Pos len : lens) {
+      Value d = 0.0;
+      if (VerifyLength(seq, start, len, eps, stats, &d)) report(len, d);
+    }
+  }
+
+ private:
+  bool VerifyLength(SeqId seq, Pos start, Pos len, Value eps,
+                    core::SearchStats* stats, Value* distance) {
     // O(dim) endpoint screen (first and last elements must align).
     Value endpoint_lb =
         MultiBaseDistance(QueryElement(0), db_->Element(seq, start));
@@ -80,7 +93,6 @@ class GridCellModel {
                                    db_->dim(), eps, distance, band_);
   }
 
- private:
   std::span<const Value> QueryElement(std::size_t x) const {
     return std::span<const Value>(query_.data() + x * db_->dim(),
                                   db_->dim());

@@ -124,6 +124,68 @@ TEST(CancellationSearchTest, PartialResultsAreASoundSubset) {
   EXPECT_TRUE(saw_complete);   // The 500ms budget never does (tiny db).
 }
 
+TEST(CancellationSearchTest, PendingCandidatesDroppedOnDeadline) {
+  // A sparse index and a large epsilon: each root branch queues thousands
+  // of candidates before its per-start verification, so deadlines land
+  // while many wait. Whatever was verified must be exact; what was still
+  // pending is dropped, never verified after the deadline.
+  datagen::RandomWalkOptions db_options;
+  db_options.num_sequences = 60;
+  db_options.avg_length = 120;
+  db_options.length_jitter = 10;
+  db_options.seed = 31;
+  const seqdb::SequenceDatabase db = datagen::GenerateRandomWalks(db_options);
+  IndexOptions index_options;
+  index_options.kind = IndexKind::kSparse;
+  index_options.num_categories = 4;
+  auto index = Index::Build(&db, index_options);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  const std::vector<Value> query = TestQuery(db);
+  constexpr Value kEpsilon = 40.0;
+  SearchStats full_stats;
+  const std::vector<Match> full =
+      index->Search(query, kEpsilon, {}, &full_stats);
+  ASSERT_GT(full_stats.candidates, 10000u);
+
+  bool saw_partial = false;
+  bool saw_dropped = false;
+  for (const auto budget :
+       {std::chrono::microseconds(0), std::chrono::microseconds(300),
+        std::chrono::microseconds(1000), std::chrono::microseconds(3000)}) {
+    CancelToken token;
+    token.ArmDeadlineAfter(budget);
+    QueryOptions options;
+    options.cancel = &token;
+    SearchStats stats;
+    const std::vector<Match> partial =
+        index->Search(query, kEpsilon, options, &stats);
+    if (stats.cancelled == 0) {
+      testutil::ExpectSameMatches(full, partial, "uncancelled run");
+      continue;
+    }
+    ExpectSoundSubset(full, partial);
+    // Distances are bit-exact, not merely close.
+    for (const Match& m : partial) {
+      const auto it = std::find(full.begin(), full.end(), m);
+      ASSERT_NE(it, full.end());
+      EXPECT_EQ(it->distance, m.distance);
+    }
+    if (partial.size() < full.size()) saw_partial = true;
+    // Every queued length reaches the endpoint screen or LB_Keogh unless
+    // it was dropped unverified.
+    EXPECT_LE(stats.endpoint_rejections + stats.lb_invocations,
+              stats.candidates);
+    if (stats.endpoint_rejections + stats.lb_invocations < stats.candidates) {
+      saw_dropped = true;
+    }
+  }
+  EXPECT_TRUE(saw_partial);  // The 0us budget always trips.
+  EXPECT_TRUE(saw_dropped);
+  // The arenas hold no stale pending candidates afterwards.
+  testutil::ExpectSameMatches(full, index->Search(query, kEpsilon),
+                              "search after cancel");
+}
+
 TEST(CancellationSearchTest, CancelFromAnotherThreadMidSearch) {
   const seqdb::SequenceDatabase db = TestDb(17);
   const Index index = BuildIndex(db);

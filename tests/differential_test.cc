@@ -152,12 +152,64 @@ TEST(DifferentialTest, BoundChainHoldsOnRandomCases) {
     const Value eps = rng.Uniform(0, 2) * (exact == kInfinity
                                                ? 100.0
                                                : exact + 0.25);
+    const Pos full_len[] = {static_cast<Pos>(slen)};
     Value got = -1.0;
-    const bool in = dtw::DtwWithinThresholdLb(q, s, env, eps, &got,
-                                              &scratch);
+    dtw::DtwPrefixesWithinThreshold(q, s, full_len, &env, band, eps,
+                                    {&got, 1}, &scratch);
+    const bool in = got <= eps;
     ASSERT_EQ(in, exact <= eps) << "seed=" << seed << " band=" << band;
     if (in) {
       ASSERT_EQ(got, exact) << "seed=" << seed << " band=" << band;
+    }
+
+    // Several lengths of one start read off one table: 1-12 distinct
+    // ascending prefix lengths, with and without the envelope screen.
+    // Every length within eps must come back with exactly the bits of a
+    // table built for that length alone, and none may be missed.
+    std::vector<Pos> pool(slen);
+    for (std::size_t i = 0; i < slen; ++i) pool[i] = static_cast<Pos>(i + 1);
+    const std::size_t num_lengths = static_cast<std::size_t>(
+        rng.UniformInt(1, static_cast<std::int64_t>(std::min<std::size_t>(
+                              12, slen))));
+    for (std::size_t i = 0; i < num_lengths; ++i) {
+      const auto j = static_cast<std::size_t>(rng.UniformInt(
+          static_cast<std::int64_t>(i), static_cast<std::int64_t>(slen - 1)));
+      std::swap(pool[i], pool[j]);
+    }
+    std::vector<Pos> lengths(pool.begin(), pool.begin() + num_lengths);
+    std::sort(lengths.begin(), lengths.end());
+    std::vector<Value> want(num_lengths);
+    for (std::size_t i = 0; i < num_lengths; ++i) {
+      const std::span<const Value> prefix(s.data(), lengths[i]);
+      want[i] = band == 0 ? dtw::DtwDistance(q, prefix)
+                          : dtw::DtwDistanceBanded(q, prefix, band);
+    }
+    const Value pivot = want[static_cast<std::size_t>(rng.UniformInt(
+        0, static_cast<std::int64_t>(num_lengths - 1)))];
+    const Value multi_eps =
+        rng.Uniform(0, 2) * (pivot == kInfinity ? 100.0 : pivot + 0.25);
+    const dtw::QueryEnvelope* multi_env = seed % 4 == 0 ? nullptr : &env;
+    std::vector<Value> got_multi(num_lengths, -1.0);
+    dtw::DtwPrefixesWithinThreshold(q, s, lengths, multi_env, band, multi_eps,
+                                    got_multi, &scratch);
+    for (std::size_t i = 0; i < num_lengths; ++i) {
+      const std::span<const Value> prefix(s.data(), lengths[i]);
+      bool want_in = want[i] <= multi_eps;
+      if (band == 0) {
+        // The unbanded reference is the thresholded kernel itself.
+        Value plain = -1.0;
+        want_in = dtw::DtwWithinThreshold(q, prefix, multi_eps, &plain);
+        if (want_in) {
+          ASSERT_EQ(plain, want[i]) << "seed=" << seed;
+        }
+      }
+      ASSERT_EQ(got_multi[i] <= multi_eps, want_in)
+          << "seed=" << seed << " band=" << band << " len=" << lengths[i]
+          << " of " << num_lengths << " lengths";
+      if (want_in) {
+        ASSERT_EQ(got_multi[i], want[i])
+            << "seed=" << seed << " band=" << band << " len=" << lengths[i];
+      }
     }
   }
 }
@@ -210,6 +262,36 @@ TEST(DifferentialTest, FastPathSearchByteIdenticalAcrossEngines) {
                             "knn " + ctx);
       }
     }
+  }
+}
+
+TEST(DifferentialTest, OverflowingPendingQueueByteIdenticalToScan) {
+  // A loose sparse filter (two categories) and a large epsilon queue more
+  // than 2 x 65536 candidates, so some root branch holds more than the
+  // driver queues before it flushes early, and some starts are verified
+  // in two groups. Answers must stay byte-identical to the sequential
+  // scan, serial and parallel.
+  Rng rng(77);
+  seqdb::SequenceDatabase db;
+  for (std::uint64_t i = 0; i < 40; ++i) {
+    db.Add(RandomShape(&rng, 150, 900 + i));
+  }
+  const std::vector<Value> q = RandomShape(&rng, 8, 5);
+  constexpr Value kEpsilon = 60.0;
+  IndexOptions options;
+  options.kind = IndexKind::kSparse;
+  options.num_categories = 2;
+  auto index = Index::Build(&db, options);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  const std::vector<Match> scan = core::SeqScan(db, q, kEpsilon, {});
+  for (const std::size_t threads : {0u, 3u}) {
+    QueryOptions query_options;
+    query_options.num_threads = threads;
+    core::SearchStats stats;
+    ExpectByteIdentical(scan,
+                        index->Search(q, kEpsilon, query_options, &stats),
+                        "threads=" + std::to_string(threads));
+    EXPECT_GT(stats.candidates, 2u * 65536u);
   }
 }
 

@@ -177,7 +177,18 @@ TEST(EnvelopeTest, LbImprovedAtLeastLbKeogh) {
   }
 }
 
-TEST(EnvelopeTest, DtwWithinThresholdLbAgreesWithPlainKernel) {
+/// One-length call of the shared-table kernel: within iff distance <= eps.
+bool PrefixWithinThreshold(std::span<const Value> q, std::span<const Value> s,
+                           const QueryEnvelope& env, Value eps, Value* got,
+                           EnvelopeScratch* scratch) {
+  const Pos len[] = {static_cast<Pos>(s.size())};
+  Value d[1];
+  DtwPrefixesWithinThreshold(q, s, len, &env, env.band(), eps, d, scratch);
+  *got = d[0];
+  return d[0] <= eps;
+}
+
+TEST(EnvelopeTest, DtwPrefixesWithinThresholdAgreesWithPlainKernel) {
   EnvelopeScratch scratch;
   const std::vector<Value> q = RandomWalk(9, 11);
   const QueryEnvelope env(q, 0);
@@ -186,8 +197,8 @@ TEST(EnvelopeTest, DtwWithinThresholdLbAgreesWithPlainKernel) {
     const Value exact = DtwDistance(q, s);
     for (const Value eps : {exact * 0.5, exact, exact * 2.0}) {
       Value got = -1.0, want = -1.0;
-      const bool in_lb = DtwWithinThresholdLb(q, s, env, eps, &got,
-                                              &scratch);
+      const bool in_lb =
+          PrefixWithinThreshold(q, s, env, eps, &got, &scratch);
       const bool in_plain = DtwWithinThreshold(q, s, eps, &want);
       ASSERT_EQ(in_lb, in_plain) << "seed=" << seed << " eps=" << eps;
       if (in_lb) {
@@ -197,7 +208,7 @@ TEST(EnvelopeTest, DtwWithinThresholdLbAgreesWithPlainKernel) {
   }
 }
 
-TEST(EnvelopeTest, DtwWithinThresholdLbBandedMatchesBandedDistance) {
+TEST(EnvelopeTest, DtwPrefixesWithinThresholdBandedMatchesBandedDistance) {
   EnvelopeScratch scratch;
   const std::vector<Value> q = RandomWalk(10, 13);
   for (const Pos band : {1u, 3u, 10u}) {
@@ -207,8 +218,7 @@ TEST(EnvelopeTest, DtwWithinThresholdLbBandedMatchesBandedDistance) {
       const Value exact = DtwDistanceBanded(q, s, band);
       for (const Value eps : {1.0, 10.0, 100.0}) {
         Value got = -1.0;
-        const bool in =
-            DtwWithinThresholdLb(q, s, env, eps, &got, &scratch);
+        const bool in = PrefixWithinThreshold(q, s, env, eps, &got, &scratch);
         ASSERT_EQ(in, exact <= eps)
             << "band=" << band << " seed=" << seed << " eps=" << eps;
         if (in) {
